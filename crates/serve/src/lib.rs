@@ -63,7 +63,7 @@ pub use hash::{fnv1a64, Fnv64};
 pub use hot::HotTier;
 pub use json::Json;
 pub use membership::{HashRing, Membership, ShardState};
-pub use pool::{default_workers, parallel_map, PoolSpecExecutor, WorkerPool};
+pub use pool::{default_workers, parallel_map, WorkerPool};
 pub use protocol::{read_frame, write_frame, BatchItem, CompileReply, Request};
 pub use router::{Router, RouterConfig};
 pub use service::{

@@ -430,16 +430,14 @@ impl CompileReply {
                 degraded_solves: 0,  // never serialized (per-run governance)
                 cancelled_solves: 0, // never serialized (per-run governance)
                 panics_recovered: 0, // never serialized (per-run governance)
-                // Fast-path/assembly/speculation counters depend on warm
-                // in-process state (cell-width history, assembly caches,
-                // core count), not on the artifact: never serialized so
-                // cache payloads stay byte-identical across replays.
+                // Fast-path/assembly counters depend on warm in-process
+                // state (cell-width history, assembly caches), not on the
+                // artifact: never serialized so cache payloads stay
+                // byte-identical across replays.
                 tab_i64_solves: 0,
                 tab_overflow_escalations: 0,
                 farkas_linearizations: 0,
                 redundancy_checks: 0,
-                spec_adopted: 0,
-                spec_discarded: 0,
                 dependence_analyses: 0,
                 session_reuses: 0,
             },
@@ -586,8 +584,6 @@ mod tests {
                 tab_overflow_escalations: 0, // not carried over the wire
                 farkas_linearizations: 0,    // not carried over the wire
                 redundancy_checks: 0,        // not carried over the wire
-                spec_adopted: 0,             // not carried over the wire
-                spec_discarded: 0,           // not carried over the wire
                 dependence_analyses: 0,      // not carried over the wire
                 session_reuses: 0,           // not carried over the wire
             },

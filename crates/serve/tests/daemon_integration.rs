@@ -10,6 +10,7 @@ use polyject_gpusim::GpuModel;
 use polyject_serve::{compile_reply, Client, Endpoint, Json};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,9 +20,16 @@ struct Daemon {
     dir: PathBuf,
 }
 
+/// Distinguishes the fixtures of tests running concurrently in this
+/// process: each daemon gets a directory (and socket) of its own, so one
+/// test's cleanup can never delete another's live socket.
+static NEXT_DAEMON: AtomicUsize = AtomicUsize::new(0);
+
 impl Daemon {
-    fn spawn() -> Daemon {
-        let dir = std::env::temp_dir().join(format!("pj-daemon-it-{}", std::process::id()));
+    fn spawn(tag: &str) -> Daemon {
+        let n = NEXT_DAEMON.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("pj-daemon-it-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let socket = dir.join("d.sock");
@@ -83,7 +91,7 @@ fn artifact_blob(resp: &Json) -> String {
 
 #[test]
 fn concurrent_clients_get_byte_identical_replies() {
-    let daemon = Daemon::spawn();
+    let daemon = Daemon::spawn("concurrent");
 
     // Table II operators (the LSTM network's), expressed as .pj source.
     let sources: Vec<String> = polyject_workloads::lstm()
@@ -174,7 +182,7 @@ fn concurrent_clients_get_byte_identical_replies() {
 
 #[test]
 fn daemon_survives_bad_requests() {
-    let daemon = Daemon::spawn();
+    let daemon = Daemon::spawn("bad-requests");
     let mut client = Client::connect(&daemon.endpoint).unwrap();
 
     // Parse errors and unknown configs come back as error responses …

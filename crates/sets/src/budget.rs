@@ -191,9 +191,10 @@ impl Budget {
     /// Whether any *resource* limit — deadline, node/pivot cap, or FM row
     /// cap — is attached, i.e. anything beyond a cancellation flag.
     /// Resource-metered budgets account work against thread-local
-    /// counters, so callers that may offload work to other threads (the
-    /// scheduler's speculative solves) must check this and stay serial
-    /// when it holds.
+    /// counters, so callers that serve results from shared warm state
+    /// (schedule sessions, the compile service's session pool) must
+    /// check this and compile cold when it holds: pre-paid work would
+    /// escape the accounting.
     pub fn has_resource_limits(&self) -> bool {
         self.deadline.is_some()
             || self.max_ilp_nodes.is_some()

@@ -60,12 +60,6 @@ pub struct SolverCounters {
     /// Redundant-constraint elimination passes actually performed
     /// (assembly-cache misses); ticked by the scheduler's driver.
     pub redundancy_checks: u64,
-    /// Speculative ladder solves whose premise was confirmed and whose
-    /// result was adopted by the sequential decision point.
-    pub spec_adopted: u64,
-    /// Speculative ladder solves discarded (premise never confirmed) or
-    /// cancelled before completion.
-    pub spec_discarded: u64,
     /// Nanoseconds spent in integer-feasibility preprocessing (bound
     /// tightening, infeasibility short-circuits).
     pub preprocess_ns: u64,
@@ -111,8 +105,6 @@ impl SolverCounters {
             dependence_analyses: self.dependence_analyses - earlier.dependence_analyses,
             session_reuses: self.session_reuses - earlier.session_reuses,
             redundancy_checks: self.redundancy_checks - earlier.redundancy_checks,
-            spec_adopted: self.spec_adopted - earlier.spec_adopted,
-            spec_discarded: self.spec_discarded - earlier.spec_discarded,
             preprocess_ns: self.preprocess_ns - earlier.preprocess_ns,
             dependence_ns: self.dependence_ns - earlier.dependence_ns,
             assemble_ns: self.assemble_ns - earlier.assemble_ns,
@@ -141,8 +133,6 @@ impl SolverCounters {
         self.dependence_analyses += other.dependence_analyses;
         self.session_reuses += other.session_reuses;
         self.redundancy_checks += other.redundancy_checks;
-        self.spec_adopted += other.spec_adopted;
-        self.spec_discarded += other.spec_discarded;
         self.preprocess_ns += other.preprocess_ns;
         self.dependence_ns += other.dependence_ns;
         self.assemble_ns += other.assemble_ns;
@@ -169,8 +159,6 @@ thread_local! {
     static DEPENDENCE_ANALYSES: Cell<u64> = const { Cell::new(0) };
     static SESSION_REUSES: Cell<u64> = const { Cell::new(0) };
     static REDUNDANCY_CHECKS: Cell<u64> = const { Cell::new(0) };
-    static SPEC_ADOPTED: Cell<u64> = const { Cell::new(0) };
-    static SPEC_DISCARDED: Cell<u64> = const { Cell::new(0) };
     static PREPROCESS_NS: Cell<u64> = const { Cell::new(0) };
     static DEPENDENCE_NS: Cell<u64> = const { Cell::new(0) };
     static ASSEMBLE_NS: Cell<u64> = const { Cell::new(0) };
@@ -198,8 +186,6 @@ pub fn snapshot() -> SolverCounters {
         dependence_analyses: DEPENDENCE_ANALYSES.get(),
         session_reuses: SESSION_REUSES.get(),
         redundancy_checks: REDUNDANCY_CHECKS.get(),
-        spec_adopted: SPEC_ADOPTED.get(),
-        spec_discarded: SPEC_DISCARDED.get(),
         preprocess_ns: PREPROCESS_NS.get(),
         dependence_ns: DEPENDENCE_NS.get(),
         assemble_ns: ASSEMBLE_NS.get(),
@@ -272,18 +258,6 @@ pub fn note_session_reuse() {
 /// Public: ticked by the scheduler's driver around `try_remove_redundant`.
 pub fn note_redundancy_check() {
     REDUNDANCY_CHECKS.set(REDUNDANCY_CHECKS.get() + 1);
-}
-
-/// Records a speculative ladder solve adopted by the sequential decision
-/// point. Public: the speculation harness lives in the scheduler crate.
-pub fn note_spec_adopted() {
-    SPEC_ADOPTED.set(SPEC_ADOPTED.get() + 1);
-}
-
-/// Records a speculative ladder solve discarded or cancelled unused.
-/// Public: the speculation harness lives in the scheduler crate.
-pub fn note_spec_discarded() {
-    SPEC_DISCARDED.set(SPEC_DISCARDED.get() + 1);
 }
 
 /// A snapshot of the three pivot counters an in-flight tableau operation
@@ -386,8 +360,6 @@ mod tests {
         note_dependence_analysis();
         note_session_reuse();
         note_redundancy_check();
-        note_spec_adopted();
-        note_spec_discarded();
         add_preprocess_ns(17);
         add_dependence_ns(21);
         add_assemble_ns(22);
@@ -412,8 +384,6 @@ mod tests {
         assert_eq!(d.dependence_analyses, 1);
         assert_eq!(d.session_reuses, 1);
         assert_eq!(d.redundancy_checks, 1);
-        assert_eq!(d.spec_adopted, 1);
-        assert_eq!(d.spec_discarded, 1);
         assert_eq!(d.preprocess_ns, 17);
         assert_eq!(d.dependence_ns, 21);
         assert_eq!(d.assemble_ns, 22);
@@ -441,8 +411,6 @@ mod tests {
             dependence_analyses: 23,
             session_reuses: 24,
             redundancy_checks: 20,
-            spec_adopted: 21,
-            spec_discarded: 22,
             preprocess_ns: 9,
             dependence_ns: 13,
             assemble_ns: 14,
@@ -467,8 +435,6 @@ mod tests {
             dependence_analyses: 230,
             session_reuses: 240,
             redundancy_checks: 200,
-            spec_adopted: 210,
-            spec_discarded: 220,
             preprocess_ns: 90,
             dependence_ns: 130,
             assemble_ns: 140,
@@ -496,8 +462,6 @@ mod tests {
                 dependence_analyses: 253,
                 session_reuses: 264,
                 redundancy_checks: 220,
-                spec_adopted: 231,
-                spec_discarded: 242,
                 preprocess_ns: 99,
                 dependence_ns: 143,
                 assemble_ns: 154,

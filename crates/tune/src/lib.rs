@@ -25,9 +25,8 @@
 //!   before exact evaluation, and its achieved Spearman rank
 //!   correlation is reported in the outcome.
 //!
-//! The old fixed-grid tuner lives on as the degenerate case and is
-//! re-exported here: [`autotune`] enumerates a 5-point tiling/mapping
-//! grid with no search at all.
+//! The fixed 5-point tiling/mapping grid ([`grid_anchors`]) is always
+//! evaluated in the seed round, so the search never loses to the grid.
 //!
 //! # Examples
 //!
@@ -62,6 +61,3 @@ pub use search::{
     JobRunner, SerialRunner, TuneOptions, TuneOutcome, TuneRequest, TunedConfig,
 };
 pub use space::{fnv1a64, KnobPoint};
-
-// The fixed-grid tuner remains the zero-search degenerate case.
-pub use polyject_gpusim::{autotune, TuneCandidate, TuneResult, MAX_LOG};

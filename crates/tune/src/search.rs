@@ -245,11 +245,11 @@ impl JobRunner for SerialRunner {
     }
 }
 
-/// The legacy `gpusim::tune` grid as knob points: every `(tiling,
-/// mapping)` pair the fixed grid enumerates, expressed over the default
-/// influence options. The beam search evaluates these as deterministic
-/// anchors in its seed round, so its winner always dominates the
-/// degenerate grid tuner's.
+/// The fixed tiling/mapping grid as knob points: untiled plus two tile
+/// sizes × two thread budgets (the untiled point ignores its mapping, so
+/// 5 distinct points), over the default influence options. The beam
+/// search evaluates these as deterministic anchors in its seed round, so
+/// its winner always dominates the best grid point.
 pub fn grid_anchors() -> Vec<KnobPoint> {
     let tilings = [
         None,
@@ -660,6 +660,35 @@ mod tests {
         req.budget = Budget::unlimited().with_deadline_in(std::time::Duration::ZERO);
         let out = beam_search(&req, &TuneOptions::default(), &SerialRunner).unwrap();
         assert!(!out.complete);
+    }
+
+    #[test]
+    fn tiled_anchor_stays_equivalent() {
+        let anchors = grid_anchors();
+        assert_eq!(anchors.len(), 5);
+        let tiled = anchors
+            .iter()
+            .find(|p| p.tiling.is_some())
+            .expect("the grid has tiled points");
+        let req = request(ops::transpose_2d(96, 64));
+        let compile = |p: &KnobPoint| {
+            compile_with_options(
+                &req.kernel,
+                req.config,
+                &req.budget,
+                &p.to_compile_options(),
+            )
+            .unwrap()
+        };
+        let ast = compile(tiled).ast;
+        assert_ne!(
+            polyject_codegen::render(&ast, &req.kernel),
+            polyject_codegen::render(&compile(&KnobPoint::default()).ast, &req.kernel),
+            "the anchor must actually tile"
+        );
+        let inputs = polyject_gpusim::seeded_buffers(&req.kernel, &[], 5);
+        polyject_gpusim::check_equivalence(&ast, &req.kernel, &inputs, &[])
+            .expect("tiled variant preserves semantics");
     }
 
     #[test]

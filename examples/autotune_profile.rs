@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example autotune_profile`
 
+use polyject::codegen::compile_with_options;
+use polyject::core::Budget;
 use polyject::prelude::*;
+use polyject_tune::{evaluate_point, grid_anchors, TuneRequest};
 
 fn main() {
     let kernel = polyject::ir::ops::transpose_2d_of(2048, 2048, ElemType::F16);
@@ -12,24 +15,48 @@ fn main() {
 
     for config in [Config::Isl, Config::Influenced] {
         println!("== {} ==", config.name());
-        let tuned = autotune(&kernel, config, &model).expect("tunable");
-        for cand in &tuned.log {
+        let req = TuneRequest {
+            kernel: kernel.clone(),
+            config,
+            gpu: model.clone(),
+            budget: Budget::unlimited(),
+        };
+        // The fixed tiling/mapping grid; the first strictly fastest point
+        // wins, so ties keep the untiled default.
+        let mut best: Option<polyject_tune::Evaluated> = None;
+        for point in grid_anchors() {
+            let cand = evaluate_point(&req, &point).expect("tunable");
             println!(
                 "  tile={:<12} max_threads={:<5} -> {:.4} ms ({})",
-                cand.tiling
+                cand.point
+                    .tiling
                     .map(|t| t.tile_size.to_string())
                     .unwrap_or_else(|| "untiled".into()),
-                cand.mapping.max_threads,
+                cand.point.mapping.max_threads,
                 cand.timing.ms(),
                 cand.timing.bottleneck()
             );
+            if best
+                .as_ref()
+                .is_none_or(|b| cand.timing.time < b.timing.time)
+            {
+                best = Some(cand);
+            }
         }
+        let best = best.expect("the grid is not empty");
         println!(
             "  winner: tile={:?} {:.4} ms",
-            tuned.best.tiling.map(|t| t.tile_size),
-            tuned.best.timing.ms()
+            best.point.tiling.map(|t| t.tile_size),
+            best.timing.ms()
         );
-        println!("{}", profile(&tuned.compiled.ast, &kernel, &model).render());
+        let winner = compile_with_options(
+            &kernel,
+            config,
+            &req.budget,
+            &best.point.to_compile_options(),
+        )
+        .expect("compiles");
+        println!("{}", profile(&winner.ast, &kernel, &model).render());
     }
 
     // On different device models the comparison shape persists.

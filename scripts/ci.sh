@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 verify (build + tests),
-# a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
+# the workspace suite at default and at one test thread, the Table II
+# stdout golden, a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
 # BENCH JSON emission), a seeded fault-injection chaos gate, a
 # budget-exhaustion/cancellation smoke, a cold-vs-warm schedule-cache
 # round-trip, an autotune smoke (same-seed searches byte-identical, warm
@@ -44,6 +45,18 @@ cargo test -q
 
 step "workspace tests (every crate, incl. serve daemon/cache suites)"
 cargo test --workspace -q
+
+step "workspace tests, one test thread"
+# Tests that share hidden state pass or fail depending on how many run
+# at once: run the suite both ways.
+cargo test --workspace -q -- --test-threads=1
+
+step "Table II golden (table2 stdout byte-identical to scripts/table2.golden.txt)"
+# stdout is deterministic; the wall-clock line goes to stderr. Re-record
+# the golden only for a deliberate behaviour change, and say why.
+cargo run --release -q -p polyject-bench --bin table2 2>/dev/null \
+  | diff -u scripts/table2.golden.txt -
+echo "ok: Table II matches the checked-in golden"
 
 step "solver identity gate (integer tableau / warm start / FM vs references)"
 cargo test --release -q -p polyject-sets --test differential

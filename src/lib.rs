@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use polyject_deps::{compute_dependences, DepOptions};
     pub use polyject_gpusim::{
-        autotune, check_equivalence, estimate, execute_ast, profile, ExecError, GpuModel,
+        check_equivalence, estimate, execute_ast, profile, ExecError, GpuModel,
     };
     pub use polyject_ir::{
         BinOp, ElemType, Expr, Extent, Idx, Kernel, KernelBuilder, StatementBuilder, StmtId, UnOp,
