@@ -18,14 +18,11 @@
 //! change membership with a warm transfer of re-homed entries.
 
 use polyject_gpusim::GpuModel;
+use polyject_serve::net::{Listener, Stream, ACCEPT_WAKE};
 use polyject_serve::protocol::{
     batch_done_response, batch_item_response, error_response, read_frame, write_frame,
 };
 use polyject_serve::{Endpoint, Json, Request, Router, RouterConfig};
-use std::io::{Read, Write};
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,12 +33,6 @@ const USAGE: &str = "usage: polyject-router [--socket <path> | --tcp <host:port>
      [--hedge-ms <n>] [--retries <n>] [--backoff-ms <n>] [--backoff-cap-ms <n>] \
      [--io-timeout-secs <n>] [--seed <n>] [--hot-threshold <n>] \
      [--gpu v100|a100|consumer]";
-
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,26 +143,7 @@ fn main() -> ExitCode {
 }
 
 fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
-    let listener = match &endpoint {
-        #[cfg(unix)]
-        Endpoint::Unix(path) => {
-            // A stale socket file from a previous run blocks the bind.
-            let _ = std::fs::remove_file(path);
-            Listener::Unix(UnixListener::bind(path).map_err(|e| format!("bind {endpoint}: {e}"))?)
-        }
-        #[cfg(not(unix))]
-        Endpoint::Unix(_) => return Err("unix sockets unavailable; use --tcp".to_string()),
-        Endpoint::Tcp(addr) => {
-            Listener::Tcp(TcpListener::bind(addr).map_err(|e| format!("bind {endpoint}: {e}"))?)
-        }
-    };
-    match &listener {
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-        Listener::Tcp(l) => l.set_nonblocking(true),
-    }
-    .map_err(|e| format!("nonblocking accept: {e}"))?;
-
+    let listener = Listener::bind(&endpoint).map_err(|e| format!("bind {endpoint}: {e}"))?;
     eprintln!(
         "[polyject-router] listening on {endpoint}, {} shard(s)",
         config.shards.len()
@@ -180,20 +152,7 @@ fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        let accepted: Option<Box<dyn ReadWrite>> = match &listener {
-            #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Some(Box::new(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(format!("accept: {e}")),
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Some(Box::new(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(format!("accept: {e}")),
-            },
-        };
-        match accepted {
+        match listener.accept().map_err(|e| format!("accept: {e}"))? {
             Some(stream) => {
                 let router = Arc::clone(&router);
                 let stop = Arc::clone(&stop);
@@ -201,24 +160,20 @@ fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
                     serve_conn(stream, &router, &stop)
                 }));
             }
-            None => std::thread::sleep(Duration::from_millis(20)),
+            None => listener.wait(ACCEPT_WAKE),
         }
         handles.retain(|h| !h.is_finished());
     }
     for h in handles {
         let _ = h.join();
     }
-    #[cfg(unix)]
     if let Endpoint::Unix(path) = &endpoint {
         let _ = std::fs::remove_file(path);
     }
     Ok(router.metrics_json(false))
 }
 
-trait ReadWrite: Read + Write + Send {}
-impl<T: Read + Write + Send> ReadWrite for T {}
-
-fn serve_conn(mut stream: Box<dyn ReadWrite>, router: &Router, stop: &AtomicBool) {
+fn serve_conn(mut stream: Stream, router: &Router, stop: &AtomicBool) {
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   index.json                  LRU index {version, tick, entries:[...]}
+//!   index.json                  LRU recency hint {version, tick, entries:[...]}
 //!   entries/<key>.json          one versioned entry per cache key
 //!   quarantine/<key>.json.<n>   corrupt entries moved aside, never deleted
 //! ```
@@ -12,11 +12,19 @@
 //! Each entry file is a JSON object
 //! `{"format": FORMAT_VERSION, "key", "kind", "checksum", "payload"}`
 //! where `checksum` is the FNV-1a 64 hex digest of the serialized
-//! payload. Entries are written atomically (tmp file + rename in the
-//! same directory). Reads re-verify the checksum; any parse, version,
-//! key, or checksum failure counts as a miss, bumps the error counter
-//! and moves the file to `quarantine/` for post-mortem instead of
-//! silently serving bad artifacts.
+//! payload. Entries are written atomically (tmp file, fsynced, renamed
+//! into place in the same directory). Reads re-verify the checksum; any
+//! parse, version, key, or checksum failure counts as a miss, bumps the
+//! error counter and moves the file to `quarantine/` for post-mortem
+//! instead of silently serving bad artifacts.
+//!
+//! The entry files are the cache; `index.json` is only a recency hint.
+//! It is written at open (when it was missing or stale) and by
+//! [`DiskCache::flush`], never by `put`: renaming over an existing file
+//! can cost tens of milliseconds on a disk mounted with `discard`, while
+//! an entry lands under a fresh name. Opening adopts every entry file
+//! the loaded index does not list, so a crash between flushes loses
+//! recency, never entries.
 //!
 //! Every filesystem call goes through the [`crate::faults::Io`] seam, so
 //! the chaos suite can open the same cache over a fault-injecting
@@ -25,8 +33,8 @@
 //! `.tmp.*` files left by writes that died between create and rename.
 //!
 //! Eviction is LRU over a logical tick (persisted in the index, so
-//! recency survives restarts) and bounded by a total payload byte
-//! budget.
+//! recency survives a flushed restart) and bounded by a total payload
+//! byte budget.
 
 use crate::faults::{Io, RealIo};
 use crate::hash::hex_digest;
@@ -93,13 +101,14 @@ impl DiskCache {
     /// Opens (creating if needed) a cache directory with the given
     /// payload byte budget.
     ///
-    /// A missing or unreadable `index.json` is not an error: the index
-    /// is rebuilt by scanning `entries/` (recency resets). Stale
+    /// A missing, unreadable or stale `index.json` is not an error:
+    /// entry files it does not list are adopted by scanning `entries/`
+    /// (with no recency), and the refreshed index is written back. Stale
     /// temporaries from writes that died mid-flight are swept.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Propagates failures to create or list the cache directories.
     pub fn open(dir: &Path, max_bytes: u64) -> io::Result<DiskCache> {
         DiskCache::open_with_io(dir, max_bytes, Box::new(RealIo))
     }
@@ -109,7 +118,7 @@ impl DiskCache {
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Propagates failures to create or list the cache directories.
     pub fn open_with_io(dir: &Path, max_bytes: u64, io: Box<dyn Io>) -> io::Result<DiskCache> {
         let mut cache = DiskCache {
             dir: dir.to_path_buf(),
@@ -122,9 +131,12 @@ impl DiskCache {
         cache.io.create_dir_all(&dir.join("entries"))?;
         cache.io.create_dir_all(&dir.join("quarantine"))?;
         cache.sweep_stale_tmps();
-        if !cache.load_index() {
-            cache.rebuild_index()?;
-            cache.flush()?;
+        let loaded = cache.load_index();
+        let adopted = cache.adopt_unindexed()?;
+        if !loaded || adopted > 0 {
+            // Only a recency hint: failing to refresh it must not fail
+            // the open.
+            let _ = cache.flush();
         }
         Ok(cache)
     }
@@ -251,9 +263,10 @@ impl DiskCache {
         Ok((kind, payload))
     }
 
-    /// Writes an entry atomically (tmp + rename), updates the index, and
-    /// evicts least-recently-used entries if the byte budget is
-    /// exceeded.
+    /// Writes an entry atomically (fsynced tmp + rename), records it in
+    /// the in-memory index, and evicts least-recently-used entries if
+    /// the byte budget is exceeded. The on-disk index is left to
+    /// [`DiskCache::flush`].
     ///
     /// # Errors
     ///
@@ -283,7 +296,7 @@ impl DiskCache {
         );
         self.stats.puts += 1;
         self.evict_to_budget(key);
-        self.flush()
+        Ok(())
     }
 
     /// Evicts LRU entries until the budget holds, never evicting
@@ -405,8 +418,9 @@ impl DiskCache {
         eprintln!("[cache] quarantined {key}: {reason}");
     }
 
-    /// Persists the LRU index atomically. Called after every `put`; call
-    /// explicitly after read-heavy phases to persist recency bumps.
+    /// Persists the LRU index (the recency hint) atomically. `put` does
+    /// not call it; call it at the end of a write or read phase (daemon
+    /// shutdown, the end of a bench run) so recency survives a restart.
     ///
     /// # Errors
     ///
@@ -433,7 +447,8 @@ impl DiskCache {
     }
 
     /// Loads `index.json`; returns `false` (leaving the cache empty) on
-    /// any problem, in which case the caller rebuilds by scanning.
+    /// any problem. Either way [`DiskCache::adopt_unindexed`] then picks
+    /// up the entry files it does not list.
     fn load_index(&mut self) -> bool {
         let index_path = self.dir.join("index.json");
         let Ok(text) = self.io.read_to_string(&index_path) else {
@@ -471,38 +486,44 @@ impl DiskCache {
         true
     }
 
-    /// Rebuilds the index by scanning `entries/` (used when the index is
-    /// missing or unreadable). Unverifiable files are quarantined.
-    fn rebuild_index(&mut self) -> io::Result<()> {
-        self.entries.clear();
+    /// Indexes every verified `entries/*.json` file the index does not
+    /// list — entries put after the last flush (the process died before
+    /// flushing) or written by another process — with no recency.
+    /// Unverifiable files are left for `get`/`verify` to quarantine.
+    /// Returns the number adopted.
+    fn adopt_unindexed(&mut self) -> io::Result<usize> {
         let names = self.io.read_dir_names(&self.dir.join("entries"))?;
+        let mut adopted = 0;
         for name in names {
+            if name.starts_with(TMP_PREFIX) {
+                continue;
+            }
             let Some(key) = name.strip_suffix(".json") else {
                 continue;
             };
-            let key = key.to_string();
-            match self.read_verified(&key) {
-                Ok((kind, _)) => {
-                    let path = self.entry_path(&key);
-                    let bytes = self.io.metadata_len(&path).unwrap_or(0);
-                    self.entries.insert(
-                        key.clone(),
-                        IndexEntry {
-                            key,
-                            kind,
-                            bytes,
-                            last_used: 0,
-                        },
-                    );
-                }
-                Err(reason) => self.quarantine(&key, &reason),
+            if self.entries.contains_key(key) {
+                continue;
             }
+            let Ok((kind, _)) = self.read_verified(key) else {
+                continue;
+            };
+            let bytes = self.io.metadata_len(&self.entry_path(key)).unwrap_or(0);
+            self.entries.insert(
+                key.to_string(),
+                IndexEntry {
+                    key: key.to_string(),
+                    kind,
+                    bytes,
+                    last_used: 0,
+                },
+            );
+            adopted += 1;
         }
-        Ok(())
+        Ok(adopted)
     }
 
     /// Writes `bytes` to `path` atomically: a tmp file in the same
-    /// directory (same filesystem, so the rename is atomic), flushed,
+    /// directory (same filesystem, so the rename is atomic), fsynced,
     /// then renamed over the target.
     fn write_atomic(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let dir = path.parent().ok_or_else(|| {
@@ -535,6 +556,134 @@ mod tests {
             ("cuda", Json::Str(format!("__global__ void {tag}() {{}}"))),
             ("ms", Json::Num(1.25)),
         ])
+    }
+
+    /// A pass-through [`Io`] that logs every `write` and `rename`.
+    #[derive(Debug)]
+    struct CountingIo {
+        log: std::sync::Arc<std::sync::Mutex<Vec<(&'static str, PathBuf)>>>,
+    }
+
+    impl Io for CountingIo {
+        fn create_dir_all(&mut self, path: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+        fn read_to_string(&mut self, path: &Path) -> io::Result<String> {
+            RealIo.read_to_string(path)
+        }
+        fn write(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.log.lock().unwrap().push(("write", path.to_path_buf()));
+            RealIo.write(path, bytes)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+            self.log.lock().unwrap().push(("rename", to.to_path_buf()));
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&mut self, path: &Path) -> io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn metadata_len(&mut self, path: &Path) -> io::Result<u64> {
+            RealIo.metadata_len(path)
+        }
+        fn exists(&mut self, path: &Path) -> bool {
+            RealIo.exists(path)
+        }
+        fn read_dir_names(&mut self, dir: &Path) -> io::Result<Vec<String>> {
+            RealIo.read_dir_names(dir)
+        }
+    }
+
+    #[test]
+    fn put_writes_and_renames_only_the_entry() {
+        let dir = tmpdir("put-io");
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let io = CountingIo {
+            log: std::sync::Arc::clone(&log),
+        };
+        let mut c = DiskCache::open_with_io(&dir, DEFAULT_MAX_BYTES, Box::new(io)).unwrap();
+        log.lock().unwrap().clear();
+        c.put("k1", "compile", &payload("a")).unwrap();
+        let ops = log.lock().unwrap().clone();
+        assert_eq!(ops.len(), 2, "one write and one rename: {ops:?}");
+        assert_eq!(ops[0].0, "write");
+        assert_eq!(ops[0].1.parent(), Some(dir.join("entries").as_path()));
+        assert_eq!(ops[1], ("rename", dir.join("entries").join("k1.json")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unflushed_puts_survive_a_crash() {
+        let dir = tmpdir("crash");
+        let mut c = DiskCache::open_default(&dir).unwrap();
+        // The index as of the last flush (here: the one open wrote).
+        let flushed_index = std::fs::read(dir.join("index.json")).unwrap();
+        let n = 5;
+        for i in 0..n {
+            let kind = if i % 2 == 0 {
+                "compile"
+            } else {
+                "tuned-config"
+            };
+            c.put(&format!("k{i}"), kind, &payload(&format!("p{i}")))
+                .unwrap();
+        }
+        let before: HashMap<String, (String, u64)> = c
+            .list()
+            .into_iter()
+            .map(|(key, kind, bytes, _)| (key, (kind, bytes)))
+            .collect();
+        // Dropped without `flush`, as a killed process would be: the
+        // on-disk index still lists none of the puts.
+        drop(c);
+        assert_eq!(
+            std::fs::read(dir.join("index.json")).unwrap(),
+            flushed_index,
+            "put must not rewrite the index"
+        );
+        let mut c = DiskCache::open_default(&dir).unwrap();
+        let after: HashMap<String, (String, u64)> = c
+            .list()
+            .into_iter()
+            .map(|(key, kind, bytes, _)| (key, (kind, bytes)))
+            .collect();
+        assert_eq!(after.len(), n);
+        assert_eq!(after, before, "every entry adopted with its kind and size");
+        for i in 0..n {
+            let (_, p) = c.get(&format!("k{i}")).expect("adopted entry hits");
+            assert_eq!(p, payload(&format!("p{i}")));
+        }
+        assert_eq!(c.stats().hits, n as u64);
+        assert_eq!(c.stats().misses, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn index_row_of_an_evicted_entry_is_dropped_on_open() {
+        let dir = tmpdir("evicted-row");
+        let one = payload("x").render();
+        let entry_overhead = 120; // format/key/kind/checksum wrapper
+        let budget = 2 * (one.len() as u64 + entry_overhead);
+        let mut c = DiskCache::open(&dir, budget).unwrap();
+        c.put("k1", "compile", &payload("x")).unwrap();
+        c.put("k2", "compile", &payload("x")).unwrap();
+        c.flush().unwrap();
+        // Evicts k1's file; the flushed index still lists it.
+        c.put("k3", "compile", &payload("x")).unwrap();
+        assert_eq!(c.stats().evictions, 1);
+        drop(c);
+        let index = std::fs::read_to_string(dir.join("index.json")).unwrap();
+        assert!(index.contains("\"k1\""), "stale row on disk: {index}");
+        assert!(!dir.join("entries").join("k1.json").exists());
+        let mut c = DiskCache::open(&dir, budget).unwrap();
+        let keys: Vec<String> = c.list().into_iter().map(|(key, ..)| key).collect();
+        assert_eq!(keys.len(), 2);
+        assert!(
+            !keys.contains(&"k1".to_string()),
+            "stale row dropped: {keys:?}"
+        );
+        assert!(c.get("k1").is_none());
+        assert!(c.get("k2").is_some() && c.get("k3").is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

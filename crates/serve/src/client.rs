@@ -3,12 +3,10 @@
 
 use crate::json::Json;
 use crate::membership::{Membership, DEFAULT_VNODES};
+use crate::net::Stream;
 use crate::protocol::{error_response, read_frame, write_frame, BatchItem, Request};
 use polyject_gpusim::GpuModel;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -62,46 +60,11 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-#[derive(Debug)]
-enum Conn {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking protocol client over one connection. Requests are
 /// strictly sequential (one frame out, one frame in).
 #[derive(Debug)]
 pub struct Client {
-    conn: Conn,
+    conn: Stream,
 }
 
 impl Client {
@@ -111,22 +74,9 @@ impl Client {
     ///
     /// Propagates connection failures (daemon not running, bad address).
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
-        let conn = match endpoint {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!(
-                        "unix sockets unavailable; use tcp instead of {}",
-                        path.display()
-                    ),
-                ))
-            }
-            Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr)?),
-        };
-        Ok(Client { conn })
+        Ok(Client {
+            conn: Stream::connect(endpoint)?,
+        })
     }
 
     /// Sets a read/write timeout on the underlying socket (`None`
@@ -136,17 +86,8 @@ impl Client {
     ///
     /// Propagates socket option failures.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        match &self.conn {
-            #[cfg(unix)]
-            Conn::Unix(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            Conn::Tcp(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-        }
+        self.conn.set_read_timeout(timeout)?;
+        self.conn.set_write_timeout(timeout)
     }
 
     /// Sends one request and reads one response frame.

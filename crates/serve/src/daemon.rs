@@ -16,6 +16,7 @@ use crate::faults::{FaultyIo, Io, RealIo};
 use crate::hash::hex_digest;
 use crate::hot::DEFAULT_HOT_ENTRIES;
 use crate::json::Json;
+use crate::net::{install_stop_signals, stop_signalled, Listener, Stream, ACCEPT_WAKE};
 use crate::pool::{default_workers, WorkerPool};
 use crate::protocol::CompileReply;
 use crate::protocol::{
@@ -30,57 +31,10 @@ use polyject_gpusim::GpuModel;
 use polyject_tune::TuneOptions;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// POSIX signal handling without a libc dependency: the daemon installs
-/// a flag-setting handler for SIGTERM/SIGINT via the C `signal`
-/// function, which the platform libc already links. This is the one
-/// place in the workspace that touches `unsafe`.
-#[cfg(unix)]
-#[allow(unsafe_code)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Set by the handler; polled by the accept loop.
-    pub static STOP: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_signum: i32) {
-        // Only async-signal-safe operations here.
-        STOP.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    /// Installs the flag-setting handler for SIGTERM and SIGINT.
-    pub fn install() {
-        unsafe {
-            signal(SIGTERM, on_signal);
-            signal(SIGINT, on_signal);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    use std::sync::atomic::AtomicBool;
-
-    /// Never set on platforms without POSIX signals.
-    pub static STOP: AtomicBool = AtomicBool::new(false);
-
-    /// No-op.
-    pub fn install() {}
-}
 
 /// Configuration of one daemon instance.
 #[derive(Clone, Debug)]
@@ -171,7 +125,7 @@ struct Shared {
 
 impl Shared {
     fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || sig::STOP.load(Ordering::SeqCst)
+        self.stop.load(Ordering::SeqCst) || stop_signalled()
     }
 
     /// The stats report: daemon counters plus the cache's own view.
@@ -235,103 +189,6 @@ impl Shared {
             pairs.extend(fields.into_iter().filter(|(k, _)| k != "status"));
         }
         Json::Obj(pairs)
-    }
-}
-
-enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
-        match endpoint {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    // Stale socket from a dead daemon? Probe it.
-                    if UnixStream::connect(path).is_ok() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::AddrInUse,
-                            format!("a daemon is already listening on {}", path.display()),
-                        ));
-                    }
-                    std::fs::remove_file(path)?;
-                }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l))
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("unix sockets unavailable: {}", path.display()),
-            )),
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
-        }
-    }
-
-    /// Nonblocking accept; `Ok(None)` when no connection is waiting.
-    fn accept(&self) -> io::Result<Option<Stream>> {
-        let r = match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match r {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -1018,7 +875,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: Stream) {
 /// Propagates bind/cache-open failures; an already-listening daemon on
 /// the same Unix socket is `AddrInUse`.
 pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
-    sig::install();
+    install_stop_signals();
     let mut io_faults = None;
     let cache = match &config.cache_dir {
         Some(dir) => {
@@ -1077,11 +934,12 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
                 conns.push(std::thread::spawn(move || handle_conn(shared, stream)));
             }
             None => {
-                // The accept loop is idle: let the background tuner
-                // claim the quiet period. Throttled by probing only
-                // when genuinely nothing is pending.
+                // Nothing waiting: let the background tuner claim the
+                // quiet period (throttled by probing only when genuinely
+                // nothing is pending), then block until the next
+                // connection or the stop-flag check is due.
                 maybe_background_tune(&shared);
-                std::thread::sleep(Duration::from_millis(20));
+                listener.wait(ACCEPT_WAKE);
             }
         }
         conns.retain(|h| !h.is_finished());

@@ -382,12 +382,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("non-utf8 string at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // piece. Both are ASCII, so the run ends on a character
+                // boundary.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| format!("non-utf8 string at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -447,6 +451,25 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1}snow\u{2603}";
         let text = Json::Str(s.to_string()).render();
         assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A batch request frame carries every kernel source in one
+        // document, so parsing must stay linear in the input: rescanning
+        // the rest of the input per character takes tens of seconds at
+        // this size.
+        let s = "kernel k\u{2603}\n\t\"x\"\\".repeat(16 << 10);
+        let text = Json::Arr(vec![Json::Str(s.clone()), Json::Str(s.clone())]).render();
+        let start = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v, Json::Arr(vec![Json::Str(s.clone()), Json::Str(s)]));
+        assert!(
+            elapsed.as_secs() < 2,
+            "{} bytes parsed in {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //!   single-flight deduplication;
 //! * [`daemon`] — the `polyjectd` accept loop: bounded queue,
 //!   backpressure, per-request timeouts, graceful shutdown;
+//! * [`net`] — the listener both servers accept on (nonblocking
+//!   accept plus a readiness wait, so no accept loop sleeps on the
+//!   request path), the connection stream type, and the stop signal;
 //! * [`client`] — the client used by `polyjectc --remote` and tests,
 //!   including client-side shard selection ([`client::ShardedClient`]);
 //! * [`stats`] — hit/miss/eviction/error counters and latency
@@ -47,6 +50,7 @@ pub mod hash;
 pub mod hot;
 pub mod json;
 pub mod membership;
+pub mod net;
 pub mod pool;
 pub mod protocol;
 pub mod router;

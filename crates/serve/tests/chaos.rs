@@ -39,9 +39,8 @@ fn payload(tag: u64) -> Json {
 
 /// Every payload the cache may legitimately serve for a key. A `put`
 /// that returned `Ok` over an atomic rename makes its payload the only
-/// acceptable value; a `put` that errored may still have landed (e.g.
-/// the index flush after the entry rename faulted), so its payload joins
-/// the acceptable set. A miss is always acceptable — faults may
+/// acceptable value; a `put` that errored may or may not have landed,
+/// so its payload joins the acceptable set. A miss is always acceptable — faults may
 /// quarantine good entries, never the reverse.
 type Model = HashMap<String, Vec<Json>>;
 
@@ -53,8 +52,8 @@ fn chaos_round(dir: &std::path::Path, seed: u64, model: &mut Model) -> (u64, Vec
     let injected = io.injected_counter();
     let mut log = Vec::new();
     let Ok(mut cache) = DiskCache::open_with_io(dir, 1 << 20, Box::new(io)) else {
-        // Opening itself died on an injected fault (e.g. the index
-        // flush): legal, as long as nothing hangs or panics.
+        // Opening itself failed: legal, as long as nothing hangs or
+        // panics.
         return (injected.load(std::sync::atomic::Ordering::SeqCst), log);
     };
     let mut rng = SplitMix64::new(seed ^ 0xC0FF_EE00);
@@ -103,7 +102,7 @@ fn cache_chaos_never_serves_corruption() {
     let mut seed = 0;
     // Keep reopening the same directory under fresh fault schedules until
     // well past the 200-injected-faults bar. Each reopen also exercises
-    // index load/rebuild and the tmp sweep over whatever debris the
+    // index load, entry adoption and the tmp sweep over whatever debris the
     // previous round left.
     while injected_total < 200 || seed < 8 {
         let (injected, _) = chaos_round(&dir, seed, &mut model);

@@ -201,3 +201,46 @@ fn daemon_survives_bad_requests() {
         .unwrap();
     assert_eq!(resp.str_field("status").unwrap(), "ok");
 }
+
+#[test]
+fn fresh_connections_are_accepted_without_waiting() {
+    let daemon = Daemon::spawn("accept-latency");
+    // Every ping opens its own connection, as the router's legs do. An
+    // accept loop that sleeps while idle makes each one wait out the
+    // sleep; one that blocks on readiness answers at once.
+    let start = Instant::now();
+    for _ in 0..50 {
+        let mut client = Client::connect(&daemon.endpoint).unwrap();
+        assert!(client.ping().unwrap());
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 fresh-connection pings took {elapsed:?}"
+    );
+}
+
+#[test]
+fn sigterm_stops_a_daemon_whose_socket_file_is_gone() {
+    let mut daemon = Daemon::spawn("sigterm-unlinked");
+    // Scripts clean up the socket file before signalling the daemon;
+    // the accept loop must still notice the stop flag.
+    let Endpoint::Unix(socket) = &daemon.endpoint else {
+        unreachable!("spawned on a Unix socket")
+    };
+    std::fs::remove_file(socket).unwrap();
+    let status = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(status) = daemon.child.try_wait().unwrap() {
+            assert!(status.success(), "{status:?}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "daemon ignored SIGTERM");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}

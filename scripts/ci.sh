@@ -74,7 +74,18 @@ echo "ok: exhausted budgets degrade down the ladder; cancellation leaves no part
 step "table2 --fast smoke (serial vs parallel identity, <10 s)"
 smoke_json="$(mktemp)"
 scratch="$(mktemp -d)"
-trap 'rm -f "$smoke_json"; rm -rf "$scratch"; kill "${daemon_pid:-0}" "${router_pid:-0}" ${shard_pids[*]:-} 2>/dev/null || true' EXIT
+# Stop (and reap) any server still running before removing its
+# directory, so none outlives the script holding the caller's pipes.
+cleanup() {
+  local pids="${daemon_pid:-} ${router_pid:-} ${shard_pids[*]:-}"
+  if [ -n "${pids// /}" ]; then
+    kill $pids 2>/dev/null || true
+    wait $pids 2>/dev/null || true
+  fi
+  rm -f "$smoke_json"
+  rm -rf "$scratch"
+}
+trap cleanup EXIT
 cargo run --release -q -p polyject-bench --bin table2 -- \
   --fast --bench --stats --json "$smoke_json" >/dev/null
 grep -q '"identical": true' "$smoke_json"
@@ -226,9 +237,12 @@ cargo run --release -q -p polyject-serve --bin polyject-cache -- "$scratch/tunec
 echo "ok: warm re-run applied persisted tuned configs with zero search"
 
 step "polyjectd daemon smoke (remote == local, cache hit on repeat)"
+# Background servers run from their built binaries, not `cargo run`, so
+# `$!`, `wait` and the EXIT trap hold the servers' own pids.
+cargo build --release -q -p polyject-serve --bin polyjectd --bin polyject-router
+bin="${CARGO_TARGET_DIR:-target}/release"
 sock="$scratch/d.sock"
-cargo run --release -q -p polyject-serve --bin polyjectd -- \
-  --socket "$sock" --cache-dir "$scratch/dcache" >"$scratch/daemon.out" &
+"$bin/polyjectd" --socket "$sock" --cache-dir "$scratch/dcache" >"$scratch/daemon.out" &
 daemon_pid=$!
 for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "daemon never bound $sock"; exit 1; }
@@ -253,8 +267,7 @@ echo "ok: hedged/retried/failed-over under multi-node chaos; no corrupt artifact
 step "3-node router smoke (cold via router, owner killed, warm hit via replica)"
 shard_pids=()
 for i in 0 1 2; do
-  cargo run --release -q -p polyject-serve --bin polyjectd -- \
-    --socket "$scratch/shard$i.sock" --cache-dir "$scratch/shard$i-cache" \
+  "$bin/polyjectd" --socket "$scratch/shard$i.sock" --cache-dir "$scratch/shard$i-cache" \
     >"$scratch/shard$i.out" &
   shard_pids+=($!)
 done
@@ -264,8 +277,7 @@ for i in 0 1 2; do
 done
 # --hot-threshold 1: the first serve of a key immediately replicates it,
 # so a single cold compile is enough to survive the owner's death.
-cargo run --release -q -p polyject-serve --bin polyject-router -- \
-  --socket "$scratch/router.sock" --hot-threshold 1 \
+"$bin/polyject-router" --socket "$scratch/router.sock" --hot-threshold 1 \
   --shard "$scratch/shard0.sock" --shard "$scratch/shard1.sock" \
   --shard "$scratch/shard2.sock" >"$scratch/router.out" 2>/dev/null &
 router_pid=$!
